@@ -10,6 +10,12 @@
  * --simd-compare emits the full tier matrix; the default run measures
  * only the host's best tier. Either way a BENCH_hscan.json row is
  * written (see --json) for CI trend tracking, like BENCH_service.json.
+ *
+ * --simd-compare also checks two bars and exits 1 when either misses:
+ * every vector tier scans >= 2x the scalar bytes/s at d=3, 100 guides,
+ * and on the widest measured tier bytes/s x patterns at 1000 guides
+ * stays >= 0.67x the same product at 100 guides (d=3), i.e. ten times
+ * the guides may cost at most 15x the time.
  */
 
 #include <algorithm>
@@ -44,6 +50,7 @@ struct Cell
     hscan::SimdTier tier;
     int d;
     size_t guides;
+    size_t patterns = 0;
     double bytesPerSec = 0.0;
     uint64_t events = 0;
 };
@@ -57,6 +64,7 @@ measure(const hscan::Database &db, const genome::Sequence &genome,
     cell.tier = tier;
     cell.d = d;
     cell.guides = guides;
+    cell.patterns = db.specs().size();
     for (int rep = 0; rep < reps; ++rep) {
         hscan::Scanner scanner(db, tier);
         if (scanner.simdTier() != tier)
@@ -178,19 +186,40 @@ main(int argc, char **argv)
     }
     std::printf("%s", table.str().c_str());
 
-    // The acceptance cell: vector speedup over scalar at d=3,
-    // 100 guides (the mid-size shape engine=auto calibrates against).
+    // The bars: vector speedup over scalar at d=3, 100 guides (the
+    // mid-size shape engine=auto calibrates against), and guide
+    // scaling from 100 to 1000 guides at d=3 on the widest tier.
+    bool missed = false;
+    double guide_scaling = 0.0;
     if (compare) {
         const Cell *scalar =
             findCell(cells, hscan::SimdTier::Scalar, 3, 100);
         for (hscan::SimdTier tier :
              {hscan::SimdTier::Avx2, hscan::SimdTier::Avx512}) {
             const Cell *vec = findCell(cells, tier, 3, 100);
-            if (scalar && vec)
-                std::printf("simd-compare: %s %.2fx over scalar at "
-                            "d=3 guides=100 (bar: >= 2x)\n",
-                            hscan::simdTierName(tier),
-                            vec->bytesPerSec / scalar->bytesPerSec);
+            if (!scalar || !vec)
+                continue;
+            const double speedup = vec->bytesPerSec / scalar->bytesPerSec;
+            const bool pass = speedup >= 2.0;
+            missed = missed || !pass;
+            std::printf("simd-compare: %s %.2fx over scalar at d=3 "
+                        "guides=100 (bar: >= 2x) %s\n",
+                        hscan::simdTierName(tier), speedup,
+                        pass ? "PASS" : "MISS");
+        }
+        const Cell *small = findCell(cells, tiers.back(), 3, 100);
+        const Cell *large = findCell(cells, tiers.back(), 3, 1000);
+        if (small && large) {
+            guide_scaling =
+                (large->bytesPerSec * static_cast<double>(large->patterns)) /
+                (small->bytesPerSec * static_cast<double>(small->patterns));
+            const bool pass = guide_scaling >= 0.67;
+            missed = missed || !pass;
+            std::printf("simd-compare: %s guide scaling %.2fx (bytes/s x "
+                        "patterns, 1000 vs 100 guides, d=3; bar: >= 0.67x) "
+                        "%s\n",
+                        hscan::simdTierName(tiers.back()), guide_scaling,
+                        pass ? "PASS" : "MISS");
         }
     }
 
@@ -215,9 +244,14 @@ main(int argc, char **argv)
                          << "_speedup_d3_g100\": "
                          << vec->bytesPerSec / scalar->bytesPerSec;
             }
+            json << ", \"guide_scaling_d3\": " << guide_scaling;
         }
         json << "}\n";
         std::printf("wrote %s\n", json_path.c_str());
+    }
+    if (missed) {
+        std::fprintf(stderr, "bench_hscan: a --simd-compare bar missed\n");
+        return 1;
     }
     return 0;
 }

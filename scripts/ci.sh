@@ -16,8 +16,10 @@
 # serving-throughput row (spawn-per-scan vs shared-pool, cold-compile
 # vs database-load, 1x/2x/4x overload goodput, and 1/2/4/8-shard
 # scatter-gather req/s) from bench_service plus a per-tier SIMD
-# kernel-throughput row from bench_hscan and a scored-vs-boolean /
-# ranked-vs-post-hoc row from bench_e16_scoring.
+# kernel-throughput row from bench_hscan (whose two bars gate: vector
+# speedup over scalar and guide scaling) and a scored-vs-boolean /
+# ranked-vs-post-hoc row from bench_e16_scoring, and run the
+# end-to-end benchmark's self-check (perfbench/smoke.py).
 #
 # Usage: scripts/ci.sh [-j N]
 set -euo pipefail
@@ -177,7 +179,10 @@ run cp build/artifacts/BENCH_service.json BENCH_service.latest.json
 # the Shift-Or scan across d=1/3/5 x 10/100/1000 guides (unusable
 # tiers are skipped with a note). The binary itself asserts every
 # tier reports identical event counts, so this doubles as one more
-# cross-tier identity check on a bench-sized workload.
+# cross-tier identity check on a bench-sized workload. It exits 1
+# when a bar misses, which fails CI: each vector tier >= 2x scalar at
+# d=3 / 100 guides, and on the widest tier bytes/s x patterns at 1000
+# guides >= 0.67x the same product at 100 guides (d=3).
 run ./build/bench/bench_hscan --simd-compare \
     --json build/artifacts/BENCH_hscan.json
 test -s build/artifacts/BENCH_hscan.json
@@ -197,5 +202,11 @@ grep -q '"scored_vs_boolean"' build/artifacts/BENCH_e16_scoring.json
 grep -q '"ranked_speedup"' build/artifacts/BENCH_e16_scoring.json
 run cp build/artifacts/BENCH_e16_scoring.json \
     BENCH_e16_scoring.latest.json
+
+# The end-to-end benchmark's own self-check: every workload prints
+# exactly the metric names and units BENCHMARK.json declares, and
+# --corrupt-hit trips its correctness gate. Its build goes under
+# build/ like every other artifact.
+run env CARGO_TARGET_DIR="$PWD/build/perfbench" python3 perfbench/smoke.py
 
 echo "==> ci: all green"

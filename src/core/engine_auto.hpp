@@ -73,10 +73,14 @@ struct AutoCalibration
      */
     double shiftOrNsPerPatternRow = 0.55;
     /**
-     * Measured Shift-Or throughput multipliers for the vector kernels
-     * (bench_hscan --simd-compare at d=3, 100 guides): AVX2 advances 4
-     * pattern lanes per op, AVX-512 eight. Sub-linear in the lane
-     * count because the row recurrence stays load/shift bound.
+     * Shift-Or throughput multipliers for the vector kernels, read off
+     * bench_hscan --simd-compare (d=3, 100 guides) when the kernels
+     * still swept every pattern's rows through memory per genome
+     * byte, which kept them well below their lane counts. The
+     * register-blocked kernels (16 x 32-bit lanes per AVX-512 vector,
+     * 8 per AVX2, rows held in registers across a text tile) now run
+     * far above these figures; re-pricing the engines is the selector
+     * rework's job, so the constants are left as they were.
      */
     double shiftOrAvx2Speedup = 3.0;
     double shiftOrAvx512Speedup = 5.0;

@@ -2,16 +2,25 @@
  * @file
  * Vectorized multi-pattern Shift-Or: the bit-parallel Hamming kernel
  * of shiftor.hpp re-laid-out structure-of-arrays so one vector lane
- * carries one pattern's 64-bit row. Every (pattern, row) update in the
+ * carries one pattern's row. Every (pattern, row) update in the
  * scalar recurrence reads only *old* row values, so all lanes of all
  * rows advance in lock-step from the previous symbol's state — the
- * scalar, AVX2 (4 pattern lanes), and AVX-512 (8 pattern lanes)
- * kernels execute the identical recurrence and are bit-identical by
- * construction (and by the SIMD conformance matrix).
+ * scalar, AVX2 and AVX-512 kernels execute the identical recurrence
+ * and are bit-identical by construction (and by the SIMD conformance
+ * matrix).
+ *
+ * The vector kernels are register-blocked (DESIGN.md §13): the text
+ * is cut into kShiftOrTileBytes tiles, and each lane block keeps its
+ * d+1 rows and masks in vector registers across a whole tile, so one
+ * genome byte costs register operations instead of a sweep over every
+ * pattern's state in memory. Sets whose sites all have <= 32
+ * positions run 32-bit lanes (16 patterns per AVX-512 vector, 8 per
+ * AVX2); longer sites run 64-bit lanes. Hits are buffered per tile
+ * and emitted in the scalar kernel's order.
  *
  * The SoA layout is tier-independent: it is built once per compiled
  * Database and shared by every Scanner at any tier; only the per-scan
- * row state is per-matcher.
+ * row state and tile buffers are per-matcher.
  */
 
 #ifndef CRISPR_HSCAN_SIMD_SHIFTOR_HPP_
@@ -30,16 +39,29 @@
 namespace crispr::hscan {
 
 /**
+ * Text tile of the vector kernels: every lane block advances over one
+ * tile before the next block starts, and hits are emitted per tile.
+ */
+inline constexpr size_t kShiftOrTileBytes = 16384;
+
+/**
  * Structure-of-arrays compiled form of a Shift-Or pattern set. All
  * per-pattern arrays are padded to `width` lanes (a multiple of the
- * widest vector width, 8) with all-zero symbol masks and accept bits,
- * so padded lanes can never report.
+ * widest vector block, 16) with all-zero symbol masks and accept
+ * bits, so padded lanes can never report.
  */
 struct ShiftOrSoA
 {
     size_t patterns = 0; //!< real pattern count
-    size_t width = 0;    //!< padded lane count (multiple of 8)
-    size_t rowCount = 0; //!< max(maxMismatches)+1 over the set
+    size_t width = 0;    //!< padded lane count (multiple of 16)
+    /**
+     * min(maxMismatches, site length)+1, maximised over the set
+     * (at most 65): rows past a site's length never differ, so the
+     * cap changes no hit.
+     */
+    size_t rowCount = 0;
+    /** 32 when every site has <= 32 positions, else 64. */
+    unsigned laneBits = 64;
 
     /** symbol[c][p] = B_p[c]; symbol[N] is all zero. */
     std::vector<uint64_t> symbol[genome::kNumSymbols];
@@ -92,13 +114,16 @@ class SimdShiftOrMatcher
     size_t patternCount() const { return layout_->patterns; }
     SimdTier tier() const { return tier_; }
 
-    /** Bytes of working state (rows + shared layout). */
+    /** Bytes of working state (rows, tile buffers, shared layout). */
     size_t stateBytes() const;
 
   private:
     std::shared_ptr<const ShiftOrSoA> layout_;
     SimdTier tier_;
     std::vector<uint64_t> rows_; //!< rowCount x width, row-major
+    std::vector<uint64_t> next_; //!< a tile's end state, then swapped
+    /** One tile's hit keys; grows on demand up to its bound. */
+    std::vector<uint64_t> hits_;
 };
 
 } // namespace crispr::hscan

@@ -13,6 +13,7 @@
  * machine.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -105,6 +106,84 @@ tierScan(std::span<const HammingSpec> specs, const Sequence &g,
     return events;
 }
 
+/** ShiftOrMatcher's raw event stream: the order every tier keeps. */
+std::vector<ReportEvent>
+oracleStream(std::span<const HammingSpec> specs, const Sequence &g)
+{
+    ShiftOrMatcher m(specs);
+    return m.scanAll(g);
+}
+
+/**
+ * One tier's raw event stream through one matcher: scanned whole, or
+ * as consecutive scan() pieces ending at each (ascending) cut.
+ */
+std::vector<ReportEvent>
+tierStream(std::span<const HammingSpec> specs, const Sequence &g,
+           SimdTier tier, std::span<const size_t> cuts = {})
+{
+    SimdShiftOrMatcher m(specs, tier);
+    std::vector<ReportEvent> got;
+    auto sink = [&](uint32_t id, uint64_t end) {
+        got.push_back(ReportEvent{id, end});
+    };
+    size_t at = 0;
+    for (size_t cut : cuts) {
+        m.scan({g.data() + at, cut - at}, sink, at);
+        at = cut;
+    }
+    m.scan({g.data() + at, g.size() - at}, sink, at);
+    return got;
+}
+
+/** Every usable tier reproduces the oracle stream, order included. */
+void
+expectOracleStream(std::span<const HammingSpec> specs, const Sequence &g,
+                   const std::string &label,
+                   std::span<const size_t> cuts = {})
+{
+    const auto want = oracleStream(specs, g);
+    for (SimdTier tier : usableTiers())
+        EXPECT_EQ(tierStream(specs, g, tier, cuts), want)
+            << label << " tier=" << simdTierName(tier);
+}
+
+/**
+ * Write a site of `spec` ending at `end` (the lowest base of each
+ * position's mask) so an exact hit lands exactly there.
+ */
+void
+plantSite(std::vector<uint8_t> &codes, const HammingSpec &spec,
+          size_t end)
+{
+    const size_t len = spec.masks.size();
+    if (end + 1 < len || end >= codes.size())
+        return;
+    for (size_t j = 0; j < len; ++j)
+        codes[end + 1 - len + j] = static_cast<uint8_t>(
+            __builtin_ctz(static_cast<unsigned>(spec.masks[j])));
+}
+
+/**
+ * A random genome of `len` bases with a site planted at every
+ * vector-kernel tile edge, cycling over the first three specs: spec 0
+ * ends on the last byte of tile 1, spec 1 on the first byte of tile
+ * 3, spec 2 straddles the edge into tile 4.
+ */
+Sequence
+tileEdgeGenome(Rng &rng, size_t len, std::span<const HammingSpec> specs)
+{
+    const Sequence base = test::randomGenome(rng, len);
+    std::vector<uint8_t> codes(base.codes().begin(), base.codes().end());
+    size_t variant = 0;
+    for (size_t edge = kShiftOrTileBytes; edge <= len;
+         edge += kShiftOrTileBytes, variant = (variant + 1) % 3) {
+        const size_t ends[] = {edge - 1, edge, edge + 2};
+        plantSite(codes, specs[variant], ends[variant]);
+    }
+    return Sequence(std::move(codes));
+}
+
 TEST(SimdDispatch, TierTableIsCoherent)
 {
     EXPECT_TRUE(simdTierUsable(SimdTier::Scalar));
@@ -163,36 +242,47 @@ TEST(SimdDispatch, UnusableRequestDegradesBelowNeverAbove)
         const SimdTier resolved = resolveSimdTier(requested);
         EXPECT_TRUE(simdTierUsable(resolved))
             << "requested " << simdTierName(requested);
-        if (requested != SimdTier::Auto)
+        if (requested != SimdTier::Auto) {
             EXPECT_LE(static_cast<int>(resolved),
                       static_cast<int>(requested));
+        }
     }
 }
 
 TEST(SimdShiftOr, LaneBoundaryPatternCounts)
 {
-    // Pattern counts straddling the 4-lane (AVX2) and 8-lane
-    // (AVX-512) boundaries: padded lanes must never report.
+    // Pattern counts straddling the 4/8/16-lane vector blocks and
+    // many-block sets: padded lanes must never report, and the
+    // per-tile hit merge must restore lane order across blocks.
+    // Report ids run opposite to lane order, so the order checked is
+    // the kernel's lane order, not an id sort.
     Rng rng(test::testSeed(8101));
     const Sequence g = test::randomGenome(rng, 3000, 0.01);
-    for (size_t patterns : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u}) {
+    for (size_t patterns : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 31u,
+                            32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u,
+                            1024u}) {
         std::vector<HammingSpec> specs;
         for (uint32_t i = 0; i < patterns; ++i)
-            specs.push_back(test::randomGuideSpec(rng, 10, 3, 2, i));
+            specs.push_back(test::randomGuideSpec(
+                rng, 10, 3, 2, static_cast<uint32_t>(patterns) - 1 - i));
         const auto want = scalarScan(specs, g);
         EXPECT_EQ(want, baselines::bruteForceScan(g, specs));
         for (SimdTier tier : usableTiers())
             EXPECT_EQ(tierScan(specs, g, tier), want)
                 << "patterns=" << patterns << " tier="
                 << simdTierName(tier);
+        expectOracleStream(specs, g,
+                           "patterns=" + std::to_string(patterns));
     }
 }
 
 TEST(SimdShiftOr, TailGenomeLengths)
 {
     // Genome lengths 0 and +-1 around the vector block widths (32
-    // positions for AVX2, 64 for AVX-512): the ragged tail and the
-    // empty input must match the scalar reference exactly.
+    // positions for AVX2, 64 for AVX-512) and around the kernel's
+    // text tile, with sites planted on the tile edges: the ragged
+    // tail and the empty input must match the scalar reference
+    // exactly, in order.
     Rng rng(test::testSeed(8102));
     std::vector<HammingSpec> specs;
     for (uint32_t i = 0; i < 5; ++i)
@@ -204,6 +294,27 @@ TEST(SimdShiftOr, TailGenomeLengths)
         for (SimdTier tier : usableTiers())
             EXPECT_EQ(tierScan(specs, g, tier), want)
                 << "len=" << len << " tier=" << simdTierName(tier);
+        expectOracleStream(specs, g, "len=" + std::to_string(len));
+    }
+    const size_t tile = kShiftOrTileBytes;
+    for (size_t len : {tile - 1, tile, tile + 1, 3 * tile + 7}) {
+        const Sequence g = tileEdgeGenome(rng, len, specs);
+        const auto want = oracleStream(specs, g);
+        // The planted edge sites really are in the stream.
+        const auto has = [&](uint32_t id, uint64_t end) {
+            return std::find(want.begin(), want.end(),
+                             ReportEvent{id, end}) != want.end();
+        };
+        if (len >= tile) {
+            EXPECT_TRUE(has(0, tile - 1)) << "len=" << len;
+        }
+        if (len > 3 * tile + 2) {
+            EXPECT_TRUE(has(1, 2 * tile));
+            EXPECT_TRUE(has(2, 3 * tile + 2));
+        }
+        EXPECT_EQ(scalarScan(specs, g),
+                  baselines::bruteForceScan(g, specs));
+        expectOracleStream(specs, g, "len=" + std::to_string(len));
     }
 }
 
@@ -238,6 +349,30 @@ TEST(SimdShiftOr, ChunkSeamIdentityPerTier)
                 << "chunk=" << chunk << " tier=" << simdTierName(tier);
         }
     }
+
+    // Streaming pieces that end exactly on tile edges, one byte
+    // either side of them, and pieces longer than a tile that start
+    // mid-tile, over a genome with sites planted on every tile edge
+    // and lane blocks on both sides of a 16-lane seam.
+    const size_t tile = kShiftOrTileBytes;
+    for (size_t patterns : {6u, 17u}) {
+        std::vector<HammingSpec> set;
+        for (uint32_t i = 0; i < patterns; ++i)
+            set.push_back(test::randomGuideSpec(rng, 12, 3, 2, i));
+        const Sequence big = tileEdgeGenome(rng, 3 * tile + 7, set);
+        const std::vector<std::vector<size_t>> cutSets = {
+            {tile, 2 * tile, 3 * tile},
+            {tile - 1, tile + 1, 2 * tile - 1, 3 * tile + 1},
+            {5, tile + 3, 3 * tile + 6},
+            {2 * tile + tile / 2},
+        };
+        for (const auto &cuts : cutSets)
+            expectOracleStream(set, big,
+                               "patterns=" + std::to_string(patterns) +
+                                   " cuts from " +
+                                   std::to_string(cuts.front()),
+                               cuts);
+    }
 }
 
 TEST(SimdShiftOr, MismatchSaturationD0To5)
@@ -256,6 +391,31 @@ TEST(SimdShiftOr, MismatchSaturationD0To5)
         for (SimdTier tier : usableTiers())
             EXPECT_EQ(tierScan(specs, g, tier), want)
                 << "d=" << d << " tier=" << simdTierName(tier);
+        expectOracleStream(specs, g, "d=" + std::to_string(d));
+    }
+
+    // Budgets 0..5 mixed inside one 16-lane block and across a block
+    // seam; then uniform and mixed sets whose row count exceeds the
+    // register-resident rows (the generic path), and budgets past
+    // the site length (the row cap).
+    const std::vector<std::pair<size_t, std::vector<int>>> sets = {
+        {16, {0, 1, 2, 3, 4, 5}},
+        {20, {5, 4, 3, 2, 1, 0}},
+        {9, {6}},
+        {12, {7, 2, 6, 0}},
+        {5, {40, 3}},
+    };
+    for (const auto &[patterns, budgets] : sets) {
+        std::vector<HammingSpec> specs;
+        for (uint32_t i = 0; i < patterns; ++i)
+            specs.push_back(test::randomGuideSpec(
+                rng, 10, 3, budgets[i % budgets.size()], i));
+        const auto want = baselines::bruteForceScan(g, specs);
+        const std::string label =
+            "patterns=" + std::to_string(patterns) +
+            " first d=" + std::to_string(budgets.front());
+        EXPECT_EQ(scalarScan(specs, g), want) << label;
+        expectOracleStream(specs, g, label);
     }
 }
 
@@ -263,17 +423,58 @@ TEST(SimdShiftOr, SixtyFourPositionPatterns)
 {
     // Full-word patterns: the accept bit lives in bit 63, where a
     // shifted-in carry would corrupt a lane that mis-handled the
-    // top bit.
+    // top bit. Sites of 32 positions put it in bit 31 of a 32-bit
+    // lane; one 33-position site moves the whole set to 64-bit lanes.
     Rng rng(test::testSeed(8105));
-    std::vector<HammingSpec> specs;
-    for (uint32_t i = 0; i < 5; ++i)
-        specs.push_back(test::randomSpec(rng, 64, 2, i));
     const Sequence g = test::randomGenome(rng, 3000);
-    const auto want = baselines::bruteForceScan(g, specs);
-    EXPECT_EQ(scalarScan(specs, g), want);
-    for (SimdTier tier : usableTiers())
-        EXPECT_EQ(tierScan(specs, g, tier), want)
+    for (size_t len : {64u, 32u, 33u}) {
+        std::vector<HammingSpec> specs;
+        for (uint32_t i = 0; i < 5; ++i)
+            specs.push_back(test::randomSpec(rng, len, 2, i));
+        const auto want = baselines::bruteForceScan(g, specs);
+        EXPECT_EQ(scalarScan(specs, g), want) << "len=" << len;
+        for (SimdTier tier : usableTiers())
+            EXPECT_EQ(tierScan(specs, g, tier), want)
+                << "len=" << len << " tier=" << simdTierName(tier);
+        expectOracleStream(specs, g, "len=" + std::to_string(len));
+    }
+    std::vector<HammingSpec> mixed;
+    for (uint32_t i = 0; i < 18; ++i)
+        mixed.push_back(test::randomSpec(rng, i == 11 ? 33 : 20 + i % 13,
+                                         3, i));
+    EXPECT_EQ(buildShiftOrSoA(mixed)->laneBits, 64u);
+    mixed[11] = test::randomSpec(rng, 32, 3, 11);
+    EXPECT_EQ(buildShiftOrSoA(mixed)->laneBits, 32u);
+    EXPECT_EQ(scalarScan(mixed, g), baselines::bruteForceScan(g, mixed));
+    expectOracleStream(mixed, g, "mixed lengths");
+}
+
+TEST(SimdShiftOr, HitDenseTilesStayBounded)
+{
+    // Budgets at the site length make every window a hit: a full
+    // tile then holds more hits than the tile buffer's bound, so the
+    // kernel must retry shorter tiles from the tile-start state and
+    // still reproduce the oracle stream with bounded working memory.
+    Rng rng(test::testSeed(8110));
+    std::vector<HammingSpec> specs;
+    for (uint32_t i = 0; i < 64; ++i)
+        specs.push_back(test::randomGuideSpec(rng, 6, 0, 6, i));
+    const Sequence g = test::randomGenome(rng, kShiftOrTileBytes + 1);
+    const auto want = oracleStream(specs, g);
+    EXPECT_EQ(want.size(), 64 * (g.size() - 5));
+    for (SimdTier tier : usableTiers()) {
+        SimdShiftOrMatcher m(specs, tier);
+        const size_t before = m.stateBytes();
+        std::vector<ReportEvent> got;
+        m.scan(g.codes(), [&](uint32_t id, uint64_t end) {
+            got.push_back(ReportEvent{id, end});
+        });
+        EXPECT_EQ(got, want) << "tier=" << simdTierName(tier);
+        // Tile-end rows plus at most 2^16 buffered hit keys.
+        EXPECT_LE(m.stateBytes(),
+                  2 * before + (size_t{1} << 16) * sizeof(uint64_t))
             << "tier=" << simdTierName(tier);
+    }
 }
 
 TEST(SimdPrefilter, EventsAndStatsBitIdenticalAcrossTiers)
